@@ -21,9 +21,7 @@ let eager () =
     decide_crashes =
       (fun _ view ->
         if view.Adversary.round = 0 then
-          List.map
-            (fun nv -> (nv.Adversary.node, Adversary.Drop_all))
-            view.Adversary.alive_faulty
+          Adversary.filter_alive view (fun _ -> Some Adversary.Drop_all)
         else []);
   }
 
@@ -32,17 +30,14 @@ let random_crashes ?(drop_prob = 0.5) ?(horizon = 256) () =
      faulty node crashes this round with probability 1/horizon, giving a
      near-uniform crash time over the first [horizon] rounds. *)
   let per_round_prob = 1. /. float_of_int (max 1 horizon) in
+  let crash = Some (Adversary.Drop_random drop_prob) in
   {
     Adversary.name = "random";
     pick_faulty = uniform_faulty;
     decide_crashes =
       (fun rng view ->
-        List.filter_map
-          (fun nv ->
-            if Dist.bernoulli rng per_round_prob then
-              Some (nv.Adversary.node, Adversary.Drop_random drop_prob)
-            else None)
-          view.Adversary.alive_faulty);
+        Adversary.filter_alive view (fun _ ->
+            if Dist.bernoulli rng per_round_prob then crash else None));
   }
 
 let targeted_min_rank ?(period = 4) () =
@@ -56,16 +51,16 @@ let targeted_min_rank ?(period = 4) () =
           (* Find the alive faulty candidate with the smallest rank; kill
              it mid-send so only part of the committee hears from it. *)
           let best = ref None in
-          List.iter
-            (fun nv ->
-              let obs = nv.Adversary.observation in
-              match (obs.Observation.role, obs.Observation.rank) with
-              | Observation.Candidate, Some rank -> (
-                  match !best with
-                  | Some (_, best_rank) when best_rank <= rank -> ()
-                  | _ -> best := Some (nv.Adversary.node, rank))
-              | _ -> ())
-            view.Adversary.alive_faulty;
+          for j = 0 to view.Adversary.alive_count - 1 do
+            let node = view.Adversary.alive.(j) in
+            let obs = view.Adversary.all_observations.(node) in
+            match (obs.Observation.role, obs.Observation.rank) with
+            | Observation.Candidate, Some rank -> (
+                match !best with
+                | Some (_, best_rank) when best_rank <= rank -> ()
+                | _ -> best := Some (node, rank))
+            | _ -> ()
+          done;
           match !best with
           | None -> []
           | Some (node, _) -> [ (node, Adversary.Drop_random 0.5) ]
@@ -79,14 +74,12 @@ let first_send ?(budget_per_round = 3) () =
     decide_crashes =
       (fun _ view ->
         let taken = ref 0 in
-        List.filter_map
-          (fun nv ->
-            if !taken < budget_per_round && nv.Adversary.pending <> [] then begin
+        Adversary.filter_alive view (fun node ->
+            if !taken < budget_per_round && view.Adversary.pending_of node <> [] then begin
               incr taken;
-              Some (nv.Adversary.node, Adversary.Drop_random 0.5)
+              Some (Adversary.Drop_random 0.5)
             end
-            else None)
-          view.Adversary.alive_faulty);
+            else None));
   }
 
 let silence_candidates () =
@@ -95,12 +88,10 @@ let silence_candidates () =
     pick_faulty = uniform_faulty;
     decide_crashes =
       (fun _ view ->
-        List.filter_map
-          (fun nv ->
-            match nv.Adversary.observation.Observation.role with
-            | Observation.Candidate -> Some (nv.Adversary.node, Adversary.Drop_all)
-            | Observation.Referee | Observation.Bystander | Observation.Coordinator -> None)
-          view.Adversary.alive_faulty);
+        Adversary.filter_alive view (fun node ->
+            match view.Adversary.all_observations.(node).Observation.role with
+            | Observation.Candidate -> Some Adversary.Drop_all
+            | Observation.Referee | Observation.Bystander | Observation.Coordinator -> None));
   }
 
 let check_entry (v, r, rule) =

@@ -1,29 +1,15 @@
-(* xoshiro256++, with each 64-bit state word held as two 32-bit halves
-   in immediate [int]s. The obvious [int64] record costs a boxed
-   allocation per field write and per intermediate — ~10 allocations
-   per draw — which dominates large simulations (the fault adversary
-   alone draws once per alive faulty node per round). The split
-   representation makes [next] allocation-free while producing exactly
-   the same output stream; test_rng pins equality against a direct
-   Int64 transcription of the reference algorithm. *)
+(* xoshiro256++, with the four 64-bit state words s0..s3 in a 32-byte
+   [Bytes.t] at offsets 0, 8, 16, 24. The [%caml_bytes_get64u] /
+   [%caml_bytes_set64u] primitives read and write raw int64s, and since
+   [step] is inlined into each projection below, ocamlopt keeps every
+   intermediate unboxed: drawing allocates nothing. (An [int64] record
+   boxes on every field write.) test_rng pins the output stream against
+   a direct Int64 transcription of the reference algorithm. *)
 
-type t = {
-  mutable s0h : int;
-  mutable s0l : int;
-  mutable s1h : int;
-  mutable s1l : int;
-  mutable s2h : int;
-  mutable s2l : int;
-  mutable s3h : int;
-  mutable s3l : int;
-  (* Halves of the last output, filled by [step]. *)
-  mutable rh : int;
-  mutable rl : int;
-}
+type t = Bytes.t
 
-let mask32 = 0xFFFFFFFF
-let lo32 x = Int64.to_int (Int64.logand x 0xFFFFFFFFL)
-let hi32 x = Int64.to_int (Int64.shift_right_logical x 32)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let of_seed seed =
   let sm = Splitmix.create seed in
@@ -35,82 +21,41 @@ let of_seed seed =
      probability of drawing it from SplitMix64 is negligible but we guard
      anyway so that [next] is total for every seed. *)
   let s0 = if Int64.logor (Int64.logor s0 s1) (Int64.logor s2 s3) = 0L then 1L else s0 in
-  {
-    s0h = hi32 s0;
-    s0l = lo32 s0;
-    s1h = hi32 s1;
-    s1l = lo32 s1;
-    s2h = hi32 s2;
-    s2l = lo32 s2;
-    s3h = hi32 s3;
-    s3l = lo32 s3;
-    rh = 0;
-    rl = 0;
-  }
+  let t = Bytes.create 32 in
+  set64 t 0 s0;
+  set64 t 8 s1;
+  set64 t 16 s2;
+  set64 t 24 s3;
+  t
 
-(* Advance the state one draw; the 64-bit output lands in (rh, rl).
-   Reference transition:
+let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+
+(* Advance the state one draw and return the 64-bit output. Reference
+   transition:
      result = rotl(s0 + s3, 23) + s0
      tmp = s1 << 17
      s2 ^= s0; s3 ^= s1; s1 ^= s2; s0 ^= s3; s2 ^= tmp
-     s3 = rotl(s3, 45)
-   A rotl by k >= 32 on split words is a rotl by k - 32 of the swapped
-   halves. *)
-let step t =
-  let s0h = t.s0h and s0l = t.s0l in
-  let al = s0l + t.s3l in
-  let ah = (s0h + t.s3h + (al lsr 32)) land mask32 in
-  let al = al land mask32 in
-  let rh = ((ah lsl 23) lor (al lsr 9)) land mask32 in
-  let rl = ((al lsl 23) lor (ah lsr 9)) land mask32 in
-  let sl = rl + s0l in
-  t.rl <- sl land mask32;
-  t.rh <- (rh + s0h + (sl lsr 32)) land mask32;
-  let th = ((t.s1h lsl 17) lor (t.s1l lsr 15)) land mask32 in
-  let tl = (t.s1l lsl 17) land mask32 in
-  t.s2h <- t.s2h lxor s0h;
-  t.s2l <- t.s2l lxor s0l;
-  t.s3h <- t.s3h lxor t.s1h;
-  t.s3l <- t.s3l lxor t.s1l;
-  t.s1h <- t.s1h lxor t.s2h;
-  t.s1l <- t.s1l lxor t.s2l;
-  t.s0h <- s0h lxor t.s3h;
-  t.s0l <- s0l lxor t.s3l;
-  t.s2h <- t.s2h lxor th;
-  t.s2l <- t.s2l lxor tl;
-  let h = t.s3h and l = t.s3l in
-  t.s3h <- ((l lsl 13) lor (h lsr 19)) land mask32;
-  t.s3l <- ((h lsl 13) lor (l lsr 19)) land mask32
+     s3 = rotl(s3, 45) *)
+let[@inline] step t =
+  let s0 = get64 t 0 and s1 = get64 t 8 and s2 = get64 t 16 and s3 = get64 t 24 in
+  let result = Int64.add (rotl (Int64.add s0 s3) 23) s0 in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  set64 t 0 (Int64.logxor s0 s3);
+  set64 t 8 (Int64.logxor s1 s2);
+  set64 t 16 (Int64.logxor s2 (Int64.shift_left s1 17));
+  set64 t 24 (rotl s3 45);
+  result
 
-let next t =
-  step t;
-  Int64.logor (Int64.shift_left (Int64.of_int t.rh) 32) (Int64.of_int t.rl)
+let next t = step t
 
 (* Allocation-free projections of one draw, for {!Rng}'s hot paths.
    Each advances the state exactly once, like [next]. *)
 
-let next_low62 t =
-  step t;
-  ((t.rh land 0x3FFFFFFF) lsl 32) lor t.rl
+let next_low62 t = Int64.to_int (step t) land ((1 lsl 62) - 1)
 
-let next_hi53 t =
-  step t;
-  (t.rh lsl 21) lor (t.rl lsr 11)
+let next_hi53 t = Int64.to_int (Int64.shift_right_logical (step t) 11)
 
-let next_bit t =
-  step t;
-  t.rl land 1
+let next_bit t = Int64.to_int (step t) land 1
 
-let copy t =
-  {
-    s0h = t.s0h;
-    s0l = t.s0l;
-    s1h = t.s1h;
-    s1l = t.s1l;
-    s2h = t.s2h;
-    s2l = t.s2l;
-    s3h = t.s3h;
-    s3l = t.s3l;
-    rh = t.rh;
-    rl = t.rl;
-  }
+let copy = Bytes.copy

@@ -230,12 +230,14 @@ let tick t =
           (* Replace the dead worker unless the drain is already over —
              a worker spawned after quiescence would exit immediately. *)
           if not (Admission.quiescent t.queue) then begin
-            Respawn.respawn h;
-            t.restart_count <- t.restart_count + 1;
-            w.respawns <- w.respawns + 1;
+            (* Record before spawning: the new worker may take the
+               requeued ticket at once, and its Started must follow. *)
             Flight.record t.flight
               (Flight.Respawned
                  { worker = w.idx; ticket = Option.map (fun i -> i.ticket) victim });
+            Respawn.respawn h;
+            t.restart_count <- t.restart_count + 1;
+            w.respawns <- w.respawns + 1;
             incr restarted
           end))
     t.workers;

@@ -25,16 +25,16 @@ type drop_rule =
 type outgoing = { dst : int; bits : int }
 (** Summary of one pending message of a faulty node. *)
 
-type node_view = {
-  node : int;
-  observation : Observation.t;
-  pending : outgoing list;  (** This faulty node's sends in the current round. *)
-}
-
 type round_view = {
   round : int;
   n : int;
-  alive_faulty : node_view list;  (** Faulty nodes that have not crashed yet. *)
+  alive : int array;
+      (** Ascending ids of the faulty nodes not crashed yet, in
+          [alive.(0 .. alive_count - 1)]. The engine reuses this buffer
+          across rounds: it is valid only during [decide_crashes]. *)
+  alive_count : int;
+  pending_of : int -> outgoing list;
+      (** This round's sends of an id in [alive], built on demand. *)
   all_observations : Observation.t array;  (** Indexed by node. *)
 }
 
@@ -49,6 +49,12 @@ type t = {
           rule. Returning a node not alive-and-faulty is an error the
           engine reports. *)
 }
+
+val filter_alive : round_view -> (int -> drop_rule option) -> (int * drop_rule) list
+(** [filter_alive view f] applies [f] to every alive faulty id in
+    ascending order and returns the [(id, rule)] pairs where it answered
+    [Some rule], in that order. [f] may draw from an rng: the draws happen
+    in id order. Allocates only for the returned crashes. *)
 
 val none : t
 (** The empty adversary: no faults at all (the fault-free setting of

@@ -174,6 +174,12 @@ module Make (P : Protocol.S) = struct
     let sends_by_node : P.msg send list array = Array.make n [] in
     (* Per-destination ingress-queue occupancy, reused across rounds. *)
     let queue_depth = Array.make n 0 in
+    (* The adversary's round view: alive faulty ids, refilled each round,
+       and each one's sends on demand. *)
+    let alive_buf = Array.make n 0 in
+    let pending_of i =
+      List.map (fun s -> { Adversary.dst = s.dst; bits = s.bits }) sends_by_node.(i)
+    in
     (* Iterate this round's sends in the order the combined send list used
        to be built: node 0..n-1, each node's sends in action order. *)
     let iter_sends f =
@@ -263,22 +269,23 @@ module Make (P : Protocol.S) = struct
               Hashtbl.replace edge_bits key total));
       (* 3. Adversary decides this round's crashes. *)
       let all_observations = Array.map P.observe states in
-      let alive_faulty =
-        let acc = ref [] in
-        for i = n - 1 downto 0 do
-          if faulty.(i) && alive i then
-            acc :=
-              {
-                Adversary.node = i;
-                observation = all_observations.(i);
-                pending =
-                  List.map (fun s -> { Adversary.dst = s.dst; bits = s.bits }) sends_by_node.(i);
-              }
-              :: !acc
-        done;
-        !acc
+      let alive_count = ref 0 in
+      for i = 0 to n - 1 do
+        if faulty.(i) && alive i then begin
+          alive_buf.(!alive_count) <- i;
+          incr alive_count
+        end
+      done;
+      let view =
+        {
+          Adversary.round = r;
+          n;
+          alive = alive_buf;
+          alive_count = !alive_count;
+          pending_of;
+          all_observations;
+        }
       in
-      let view = { Adversary.round = r; n; alive_faulty; all_observations } in
       let crash_orders = config.adversary.Adversary.decide_crashes adv_rng view in
       List.iter
         (fun (v, rule) ->

@@ -17,12 +17,13 @@ module Rng = Ftc_rng.Rng
      engine) at emit time; since nodes step in ascending order and each
      node's emits happen in classic action order, the sequence of
      [fresh_peer] draws on [wiring_rng] is identical.
-   - adversary: the view is rebuilt per round from the same data — the
-     protocol-maintained observation cache (see
-     {!Fast_protocol.runtime.obs}) equals [Array.map P.observe states]
-     at every round boundary: entries are replaced at the exact event
-     that changes them, and an unstepped node's observation cannot
-     change.
+   - adversary: the view holds the same data — the alive faulty ids in
+     ascending order (one buffer, compacted in place after crashes),
+     each one's sends in send order, and the protocol-maintained
+     observation cache (see {!Fast_protocol.runtime.obs}), which equals
+     [Array.map P.observe states] at every round boundary: entries are
+     replaced at the exact event that changes them, and an unstepped
+     node's observation cannot change.
    - queue/link: each surviving send is offered to the discipline / the
      link in global forward order, same as [iter_sends].
    Nodes skipped by the active set would have been classic no-ops (no
@@ -43,27 +44,18 @@ let flag_set (b : send_flags) i f =
 let ba_create len =
   Bigarray.Array1.create Bigarray.int Bigarray.c_layout (max 1 len)
 
-(* At large n the per-round adversary view (an O(f) list of node_view
-   records) is live all at once while it is being built, so with the
-   default 256k-word minor heap nearly all of it is promoted and then
-   immediately dies in the major heap — at n = 10^6 that is hundreds of
-   megawords of promotion and most of the wall clock. A minor heap a
-   few times larger than the biggest per-round burst lets those lists
-   die young; the burst scales with f = alpha * n, so the target scales
-   with n (capped — past ~256 MB the minor heap's own page faults cost
-   more than the promotion it avoids). What little still promotes dies
-   immediately, so a tighter space_overhead keeps the major heap from
-   ballooning into syscall-heavy growth. One-way ratchets: never shrink
-   a user-enlarged minor heap, never raise a user-tightened overhead. *)
-let min_minor_heap_words n = max (8 * 1024 * 1024) (min (32 * 1024 * 1024) (32 * n))
+(* Every round's dead sends, inboxes and protocol messages die young, but
+   whatever the minor GC promotes of them dies soon after in the major
+   heap; at the default space_overhead (120) the major heap balloons
+   into syscall-heavy growth before the collector catches up. A tighter
+   overhead keeps it compact. One-way: never raise a user-tightened
+   overhead. *)
 let max_space_overhead = 80
 
-let ensure_gc_tuning n =
+let ensure_gc_tuning () =
   let g = Gc.get () in
-  let minor = max g.Gc.minor_heap_size (min_minor_heap_words n) in
-  let overhead = min g.Gc.space_overhead max_space_overhead in
-  if minor <> g.Gc.minor_heap_size || overhead <> g.Gc.space_overhead then
-    Gc.set { g with Gc.minor_heap_size = minor; space_overhead = overhead }
+  if g.Gc.space_overhead > max_space_overhead then
+    Gc.set { g with Gc.space_overhead = max_space_overhead }
 
 module Make (P : Fast_protocol.S) = struct
   let words = P.words
@@ -71,7 +63,7 @@ module Make (P : Fast_protocol.S) = struct
   let run (config : Engine.config) =
     let n = config.n in
     if n < 2 then invalid_arg "Engine.run: need at least 2 nodes";
-    if n >= 65536 then ensure_gc_tuning n;
+    if n >= 65536 then ensure_gc_tuning ();
     let root = Rng.create config.seed in
     let node_rngs = Rng.split_n root n in
     let wiring_rng = Rng.split root in
@@ -104,22 +96,17 @@ module Make (P : Fast_protocol.S) = struct
       chosen;
     if !chosen_count > f_budget then
       violation (Violation.Faulty_budget_exceeded { picked = !chosen_count; budget = f_budget });
-    (* Sorted id list of the faulty set, for O(f) adversary views. *)
-    let faulty_ids =
-      let c = ref 0 in
-      for i = 0 to n - 1 do
-        if faulty.(i) then incr c
-      done;
-      let a = Array.make !c 0 in
-      let j = ref 0 in
-      for i = 0 to n - 1 do
-        if faulty.(i) then begin
-          a.(!j) <- i;
-          incr j
-        end
-      done;
-      a
-    in
+    (* Ascending ids of the alive faulty nodes in [alive_ids.(0 ..
+       !alive_len - 1)]: the adversary view's buffer, compacted in place
+       after each round's crashes. *)
+    let alive_ids = Array.make !chosen_count 0 in
+    let alive_len = ref 0 in
+    for i = 0 to n - 1 do
+      if faulty.(i) then begin
+        alive_ids.(!alive_len) <- i;
+        incr alive_len
+      end
+    done;
     let crashed = Bytes.make n '\000' in
     let is_crashed i = Bytes.unsafe_get crashed i <> '\000' in
     let crash_round = Array.make n (-1) in
@@ -185,7 +172,7 @@ module Make (P : Fast_protocol.S) = struct
     let snd_end = Array.make n 0 in
     let snd_stamp = Array.make n (-1) in
     let faulty_b = Bytes.make n '\000' in
-    Array.iter (fun i -> Bytes.set faulty_b i '\001') faulty_ids;
+    Array.iter (fun i -> Bytes.set faulty_b i '\001') alive_ids;
 
     (* ---- Active set: nodes to step next round. ---- *)
     let pending_flag = Bytes.make n '\000' in
@@ -302,13 +289,17 @@ module Make (P : Fast_protocol.S) = struct
     let edge_acc = Array.make n 0 in
     let edge_stamp = Array.make n (-1) in
     let run_id = ref 0 in
-    (* Per-faulty-node view records, reused across rounds while the
-       node's observation is physically unchanged and it has no pending
-       sends (protocols replace their cached observation record on any
-       change, so physical equality is a sound staleness check). The
-       adversary view is rebuilt every round; without this the O(f)
-       record churn dominates large-n runs. *)
-    let nv_cache = Array.make (Array.length faulty_ids) None in
+    let pending_of i =
+      if snd_stamp.(i) <> !cur_round then []
+      else begin
+        let dst = !s_dst and bits = !s_bits in
+        let pending = ref [] in
+        for k = snd_end.(i) - 1 downto snd_first.(i) do
+          pending := { Adversary.dst = dst.(k); bits = bits.(k) } :: !pending
+        done;
+        !pending
+      end
+    in
     (* Per-destination ingress-queue occupancy, reused across rounds. *)
     let queue_depth = Array.make n 0 in
 
@@ -377,35 +368,16 @@ module Make (P : Fast_protocol.S) = struct
             edge_stamp.(d) <- !run_id
           done);
       (* 3. Adversary decides this round's crashes. *)
-      let alive_faulty =
-        let acc = ref [] in
-        for j = Array.length faulty_ids - 1 downto 0 do
-          let i = faulty_ids.(j) in
-          if not (is_crashed i) then begin
-            let nv =
-              if snd_stamp.(i) = r && snd_end.(i) > snd_first.(i) then begin
-                let pending = ref [] in
-                for k = snd_end.(i) - 1 downto snd_first.(i) do
-                  pending := { Adversary.dst = dst.(k); bits = bits.(k) } :: !pending
-                done;
-                { Adversary.node = i; observation = obs_cache.(i); pending = !pending }
-              end
-              else
-                match nv_cache.(j) with
-                | Some nv when nv.Adversary.observation == obs_cache.(i) -> nv
-                | _ ->
-                    let nv =
-                      { Adversary.node = i; observation = obs_cache.(i); pending = [] }
-                    in
-                    nv_cache.(j) <- Some nv;
-                    nv
-            in
-            acc := nv :: !acc
-          end
-        done;
-        !acc
+      let view =
+        {
+          Adversary.round = r;
+          n;
+          alive = alive_ids;
+          alive_count = !alive_len;
+          pending_of;
+          all_observations = obs_cache;
+        }
       in
-      let view = { Adversary.round = r; n; alive_faulty; all_observations = obs_cache } in
       let crash_orders = config.adversary.Adversary.decide_crashes adv_rng view in
       List.iter
         (fun (v, rule) ->
@@ -436,6 +408,17 @@ module Make (P : Fast_protocol.S) = struct
             end
           end)
         crash_orders;
+      if crash_orders <> [] then begin
+        let live = ref 0 in
+        for j = 0 to !alive_len - 1 do
+          let i = alive_ids.(j) in
+          if not (is_crashed i) then begin
+            alive_ids.(!live) <- i;
+            incr live
+          end
+        done;
+        alive_len := !live
+      end;
       (* 3b. Ingress queues, in deterministic global send order. *)
       (match config.queue with
       | None -> ()

@@ -385,6 +385,52 @@ let test_golden_fixture () =
       let expected = read_fixture golden_path in
       Alcotest.(check string) "fast-engine n=8 run matches the pinned fixture" expected actual
 
+(* Large-n golden for the random adversary: thousands of faulty nodes
+   crash over the run, so the crash schedule depends on the per-id draw
+   order and on how the engine keeps its alive-faulty set between
+   rounds; the n = 8 fixture has too few faulty nodes to show either. *)
+
+let random_golden_line (pair : pair) =
+  let n = 16384 and alpha = 0.5 and seed = 11 in
+  let (module FP : Ftc_sim.Fast_protocol.S) = pair.fast in
+  let module FE = Ftc_sim.Fast_engine.Make (FP) in
+  let r =
+    FE.run
+      {
+        (Engine.default_config ~n ~alpha ~seed) with
+        Engine.inputs = Some (pair.mk_inputs ~n ~salt:seed);
+        adversary = Strategy.random_crashes ();
+      }
+  in
+  let m = r.Engine.metrics in
+  let crashed = Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0 r.Engine.crashed in
+  let round_sum =
+    Array.fold_left (fun acc x -> if x >= 0 then acc + x else acc) 0 r.Engine.crash_round
+  in
+  let decisions =
+    String.concat " " (Array.to_list (Array.map Decision.to_string r.Engine.decisions))
+  in
+  Printf.sprintf "%s crashed=%d crash_round_sum=%d msgs=%d bits=%d rounds=%d decisions=%s"
+    pair.tag crashed round_sum m.Metrics.msgs_sent m.Metrics.bits_sent r.Engine.rounds_used
+    (Digest.to_hex (Digest.string decisions))
+
+let random_golden =
+  [
+    ( "ft-leader-election",
+      "ft-leader-election crashed=5090 crash_round_sum=541996 msgs=1634061 bits=107953579 \
+       rounds=249 decisions=11ed8fa6f455f45d20a801161949f92f" );
+    ( "ft-agreement",
+      "ft-agreement crashed=6931 crash_round_sum=1178836 msgs=383216 bits=1916080 rounds=476 \
+       decisions=b3141d3bbe40bcfb72a339eff54b4182" );
+  ]
+
+let test_random_golden () =
+  List.iter
+    (fun (tag, want) ->
+      let pair = List.find (fun p -> p.tag = tag) pairs in
+      Alcotest.(check string) (tag ^ " n=16384 random") want (random_golden_line pair))
+    random_golden
+
 (* ------------------------------------------------------------------ *)
 (* Replay files: v1..v4 round-trip and dual-engine replay.            *)
 
@@ -574,7 +620,11 @@ let () =
           Alcotest.test_case "fast trace reconciles with metrics" `Quick
             test_fast_trace_reconciles_with_metrics;
         ] );
-      ("golden", [ Alcotest.test_case "n=8 fixture" `Quick test_golden_fixture ]);
+      ( "golden",
+        [
+          Alcotest.test_case "n=8 fixture" `Quick test_golden_fixture;
+          Alcotest.test_case "n=16384 random adversary" `Quick test_random_golden;
+        ] );
       ( "replay",
         [
           Alcotest.test_case "v1-v4 parse and re-print bit-identically" `Quick

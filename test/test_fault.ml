@@ -6,15 +6,20 @@ module Observation = Ftc_sim.Observation
 module Strategy = Ftc_fault.Strategy
 module Rng = Ftc_rng.Rng
 
+(* A faulty node as a test describes it; [view] lays a list of them out
+   as the engines do: ascending ids, each node's observation in the
+   observations array, its sends behind [pending_of]. *)
+type node_view = { node : int; observation : Observation.t; pending : Adversary.outgoing list }
+
 let view ~round ~n ~alive_faulty ~observations =
-  { Adversary.round; n; alive_faulty; all_observations = observations }
+  let all_observations = Array.copy observations in
+  List.iter (fun nv -> all_observations.(nv.node) <- nv.observation) alive_faulty;
+  let alive = Array.of_list (List.sort compare (List.map (fun nv -> nv.node) alive_faulty)) in
+  let pending_of i = (List.find (fun nv -> nv.node = i) alive_faulty).pending in
+  { Adversary.round; n; alive; alive_count = Array.length alive; pending_of; all_observations }
 
 let node_view ?(role = Observation.Bystander) ?rank ?(pending = []) node =
-  {
-    Adversary.node;
-    observation = { Observation.role; rank; has_decided = false };
-    pending;
-  }
+  { node; observation = { Observation.role; rank; has_decided = false }; pending }
 
 let test_pick_faulty_budget () =
   let rng = Rng.create 1 in
@@ -156,6 +161,28 @@ let test_random_crashes_eventually_crash () =
     true
     (List.length !alive <= 2)
 
+(* The random adversary draws once per alive id but allocates only for
+   the nodes it crashes: its per-round cost must not scale with f in
+   words allocated. *)
+let test_random_crashes_allocation () =
+  let n = 131072 and alive = 65536 in
+  let v =
+    view ~round:0 ~n
+      ~alive_faulty:(List.init alive (fun i -> node_view (2 * i)))
+      ~observations:(Array.make n Observation.bystander)
+  in
+  let adv = Strategy.random_crashes () in
+  let rng = Rng.create 10 in
+  let before = Gc.minor_words () in
+  let crashes = adv.Adversary.decide_crashes rng v in
+  let words = Gc.minor_words () -. before in
+  let count = List.length crashes in
+  Alcotest.(check bool) "some crash" true (count > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words for %d crashes of %d alive" words count alive)
+    true
+    (words < float_of_int (32 * (count + 1)))
+
 let test_all_returns_every_strategy () =
   let names = List.map fst (Strategy.all ()) in
   Alcotest.(check int) "seven strategies" 7 (List.length names);
@@ -174,6 +201,7 @@ let () =
           Alcotest.test_case "none/dormant quiet" `Quick test_none_and_dormant_never_crash;
           Alcotest.test_case "eager at round 0" `Quick test_eager_crashes_everyone_at_zero;
           Alcotest.test_case "random eventually" `Quick test_random_crashes_eventually_crash;
+          Alcotest.test_case "random allocates per crash" `Quick test_random_crashes_allocation;
           Alcotest.test_case "scheduled exact" `Quick test_scheduled_exact;
         ] );
       ( "targeting",
