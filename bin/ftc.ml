@@ -153,25 +153,28 @@ let reject_fast_transport ~engine ~transport_on =
     exit 2
   end
 
-(* sweep, chaos and verify have no engine choice — they pin the classic
-   engine (verify also cross-checks the fast one internally). A stray
-   --engine on them is a usage error (exit 2), never a silent no-op:
-   otherwise "--engine fast" would look accepted while changing
-   nothing. *)
+(* sweep, chaos and verify have no engine choice: they run every case
+   through Chaos.Case.run, which picks the engine from the protocol (the
+   fast engine for ported protocols without the transport, the classic
+   one otherwise). A stray --engine on them is a usage error (exit 2),
+   never a silent no-op: otherwise "--engine fast" would look accepted
+   while changing nothing. *)
 let reject_engine_arg =
   Arg.(
     value
     & opt (some string) None
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
-          "Rejected with exit 2. This command has no engine choice; it always runs the classic \
-           engine. Only $(b,election), $(b,agreement) and $(b,expt) take $(b,--engine).")
+          "Rejected with exit 2. This command has no engine choice: the protocol decides it \
+           (the fast engine for protocols with a struct-of-arrays port and no transport, the \
+           classic engine otherwise). Only $(b,election), $(b,agreement) and $(b,expt) take \
+           $(b,--engine).")
 
 let reject_engine ~cmd = function
   | None -> ()
   | Some v ->
       Printf.eprintf
-        "ftc %s does not take --engine (got %s): it always runs the classic engine. Only \
+        "ftc %s does not take --engine (got %s): the protocol decides the engine. Only \
          election, agreement and expt take --engine.\n"
         cmd v;
       exit 2

@@ -82,8 +82,6 @@ let run ?watchdog ?(recorder = Ftc_telemetry.Recorder.disabled) case =
   match validate case with
   | Error _ as e -> e
   | Ok entry ->
-      let (module P : Ftc_sim.Protocol.S) = materialize entry case in
-      let module E = Engine.Make (P) in
       let adversary =
         match case.adversary with
         | Some name -> (List.assoc name (Strategy.all ())) ()
@@ -93,25 +91,35 @@ let run ?watchdog ?(recorder = Ftc_telemetry.Recorder.disabled) case =
          lets a data message and an ack share an edge-round. *)
       let congest_factor = if case.transport then 2 else 1 in
       let telemetry_on = Ftc_telemetry.Recorder.enabled recorder in
+      let config =
+        {
+          Engine.n = case.n;
+          alpha = case.alpha;
+          seed = case.seed;
+          inputs = Some case.inputs;
+          adversary;
+          link = Omission.to_link case.loss;
+          queue = case.queue;
+          congest_limit = Some (congest_factor * Ftc_sim.Congest.default_limit ~n:case.n);
+          record_trace = true;
+          max_rounds_override = None;
+          watchdog;
+          round_clock =
+            (if telemetry_on then Some (fun () -> Ftc_telemetry.Recorder.now_ns recorder)
+             else None);
+        }
+      in
       let start_ns = Ftc_telemetry.Recorder.now_ns recorder in
-      let result =
-        E.run
-          {
-            Engine.n = case.n;
-            alpha = case.alpha;
-            seed = case.seed;
-            inputs = Some case.inputs;
-            adversary;
-            link = Omission.to_link case.loss;
-            queue = case.queue;
-            congest_limit = Some (congest_factor * Ftc_sim.Congest.default_limit ~n:case.n);
-            record_trace = true;
-            max_rounds_override = None;
-            watchdog;
-            round_clock =
-              (if telemetry_on then Some (fun () -> Ftc_telemetry.Recorder.now_ns recorder)
-               else None);
-          }
+      let name, phases, result =
+        match entry.Catalog.fast with
+        | Some mk_fast when not case.transport ->
+            let (module FP : Ftc_sim.Fast_protocol.S) = mk_fast () in
+            let module FE = Ftc_sim.Fast_engine.Make (FP) in
+            (FP.name, FP.phases, FE.run config)
+        | _ ->
+            let (module P : Ftc_sim.Protocol.S) = materialize entry case in
+            let module E = Engine.Make (P) in
+            (P.name, P.phases, E.run config)
       in
       (* A droppy queue downgrades raw runs the same way injected loss
          does: delivery-dependent oracles cannot be expected to hold.
@@ -125,9 +133,9 @@ let run ?watchdog ?(recorder = Ftc_telemetry.Recorder.disabled) case =
       let findings = Oracle.check ~lossy_raw entry ~inputs:case.inputs result in
       if telemetry_on then begin
         let m = result.Engine.metrics in
-        Ftc_telemetry.Instrument.record_run recorder ~protocol:P.name ~seed:case.seed
+        Ftc_telemetry.Instrument.record_run recorder ~protocol:name ~seed:case.seed
           ~ok:(findings = [])
-          ~phases:(P.phases ~n:case.n ~alpha:case.alpha)
+          ~phases:(phases ~n:case.n ~alpha:case.alpha)
           ~rounds_used:result.Engine.rounds_used
           ~per_round_msgs:m.Ftc_sim.Metrics.per_round_msgs
           ~per_round_bits:m.Ftc_sim.Metrics.per_round_bits ~msgs:m.Ftc_sim.Metrics.msgs_sent
@@ -140,58 +148,6 @@ let run ?watchdog ?(recorder = Ftc_telemetry.Recorder.disabled) case =
           ~start_ns
       end;
       Ok (result, findings)
-
-(* The same execution on the struct-of-arrays fast engine. Kept
-   deliberately parallel to [run]: identical adversary materialization,
-   identical config, identical oracle pass — the result is bit-identical
-   to [run]'s by the differential suite's contract, so the two share
-   expectations (pinned fixture metrics included). Transport cases are
-   rejected: the wrapper is a classic protocol transformer. *)
-let run_fast ?watchdog case =
-  match validate case with
-  | Error _ as e -> e
-  | Ok entry -> (
-      match entry.Catalog.fast with
-      | None ->
-          Error
-            (Invalid_case
-               (Printf.sprintf "protocol %s has no fast-engine port" case.protocol))
-      | Some _ when case.transport ->
-          Error (Invalid_case "the fast engine does not support the transport wrapper")
-      | Some mk_fast ->
-          let (module FP : Ftc_sim.Fast_protocol.S) = mk_fast () in
-          let module FE = Ftc_sim.Fast_engine.Make (FP) in
-          let adversary =
-            match case.adversary with
-            | Some name -> (List.assoc name (Strategy.all ())) ()
-            | None ->
-                if case.plan = [] then Adversary.none else Strategy.scheduled case.plan ()
-          in
-          let result =
-            FE.run
-              {
-                Engine.n = case.n;
-                alpha = case.alpha;
-                seed = case.seed;
-                inputs = Some case.inputs;
-                adversary;
-                link = Omission.to_link case.loss;
-                queue = case.queue;
-                congest_limit = Some (Ftc_sim.Congest.default_limit ~n:case.n);
-                record_trace = true;
-                max_rounds_override = None;
-                watchdog;
-                round_clock = None;
-              }
-          in
-          let queue_can_drop =
-            match case.queue with
-            | Some q -> Ftc_sim.Queue_model.can_drop q
-            | None -> false
-          in
-          let lossy_raw = case.loss <> Omission.No_loss || queue_can_drop in
-          let findings = Oracle.check ~lossy_raw entry ~inputs:case.inputs result in
-          Ok (result, findings))
 
 let findings case = match run case with Error _ -> [] | Ok (_, fs) -> fs
 

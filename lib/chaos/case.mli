@@ -50,7 +50,12 @@ val run :
   (Ftc_sim.Engine.result * Oracle.finding list, error) result
 (** Deterministically executes the case (with tracing, so the
     trace-metrics oracle applies) and judges it against every applicable
-    oracle. A lossy case without the transport is judged by the accounting
+    oracle. A transportless case on a protocol with a [fast] port
+    ({!Catalog.entry}) runs on the struct-of-arrays
+    {!Ftc_sim.Fast_engine}; transport cases and unported protocols run
+    on the closure {!Ftc_sim.Engine}. The differential suite pins the two
+    bit-identical, so the choice never changes the result, only its
+    cost. A lossy case without the transport is judged by the accounting
     oracles only (see {!Oracle.check}'s [lossy_raw]). [watchdog] is passed
     through to {!Ftc_sim.Engine.config.watchdog}: the sweep supervisor's
     per-trial wall-clock budget; it never changes what the simulation
@@ -59,17 +64,6 @@ val run :
     does: trial event, phase spans along the protocol's calendar, and
     the standard metric feed — a case marked [ok] iff the oracles found
     nothing. *)
-
-val run_fast :
-  ?watchdog:(unit -> bool) ->
-  t ->
-  (Ftc_sim.Engine.result * Oracle.finding list, error) result
-(** As {!run}, but on the struct-of-arrays fast engine
-    ({!Ftc_sim.Fast_engine}) via the catalog entry's [fast] port —
-    bit-identical results by the differential suite's contract. Errors
-    with [Invalid_case] when the protocol has no fast port or the case
-    asks for the transport wrapper (a classic-engine protocol
-    transformer). *)
 
 val findings : t -> Oracle.finding list
 (** [findings c] = oracle findings of [run c], [[]] if the case itself is

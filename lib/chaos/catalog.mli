@@ -23,8 +23,10 @@ type entry = {
   fast : (unit -> (module Ftc_sim.Fast_protocol.S)) option;
       (** The protocol's struct-of-arrays twin for
           {!Ftc_sim.Fast_engine}, when one has been ported. The twin is
-          bit-identical to [make] by the differential suite's contract;
-          [None] means the protocol only runs on the classic engine. *)
+          bit-identical to [make] by the differential suite's contract,
+          and {!Case.run} runs every transportless case on it; transport
+          cases still run [make] on the classic engine. [None] means the
+          protocol only runs on the classic engine. *)
   kind : kind;
   explicit : bool;  (** Hold the protocol to the explicit variant's oracle. *)
   inputs : input_kind;

@@ -122,8 +122,16 @@ module Make (P : Fast_protocol.S) = struct
       | None -> P.max_rounds ~n ~alpha:config.alpha
     in
 
+    (* Starting capacity of the send buffer and the inbox. Both grow by
+       doubling, so this only sets a run's fixed cost. Arrays of 1024
+       entries are allocated outside the minor heap, and at n = 4 (one
+       exhaustive-verify state) allocating them costs more than the run
+       itself; four entries per node covers a small run's first rounds.
+       From n = 256 up the capacity is 1024. *)
+    let initial_cap = min 1024 (4 * n) in
+
     (* ---- Send buffer (struct of arrays, grows by doubling). ---- *)
-    let s_cap = ref 1024 in
+    let s_cap = ref initial_cap in
     let s_len = ref 0 in
     let s_src = ref (Array.make !s_cap 0) in
     let s_dst = ref (Array.make !s_cap 0) in
@@ -223,7 +231,7 @@ module Make (P : Fast_protocol.S) = struct
     let ib_ptr = Array.make n 0 in
     let touched = Array.make n 0 in
     let touched_len = ref 0 in
-    let inbox_cap = ref 1024 in
+    let inbox_cap = ref initial_cap in
     let rt_inbox_words = ref (ba_create (!inbox_cap * words)) in
     let rt_inbox_port = ref (Array.make !inbox_cap (-1)) in
 

@@ -16,6 +16,8 @@ let add t e =
 
 let events t = List.rev t.rev_events
 
+let fold f acc t = List.fold_left f acc t.rev_events
+
 let length t = t.len
 
 let pp_event ppf = function

@@ -36,5 +36,10 @@ val add : t -> event -> unit
 val events : t -> event list
 (** Events in chronological order. *)
 
+val fold : ('a -> event -> 'a) -> 'a -> t -> 'a
+(** [fold f acc t] folds [f] over the events {e newest first}, without
+    copying the log (unlike {!events}, which reverses it). For
+    order-insensitive passes such as counting. *)
+
 val length : t -> int
 val pp_event : Format.formatter -> event -> unit

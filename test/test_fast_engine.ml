@@ -196,6 +196,32 @@ let differential ?(trace = true) pair ~n ~alpha ~seed ~mk_adv ~loss ~queue ~ctx 
   check_same ~ctx (E.run (mk_cfg ())) (FE.run (mk_cfg ()))
 
 (* ------------------------------------------------------------------ *)
+(* Protocol metadata duplicated across each pair.                     *)
+
+(* A fast port restates its classic twin's name and calendar. [Case.run]
+   reports the fast module's name and phases to telemetry, while
+   [Case.validate] bounds crash plans by the classic [max_rounds]; the
+   two copies must not drift apart. *)
+let test_pair_metadata () =
+  List.iter
+    (fun pair ->
+      let (module P : Ftc_sim.Protocol.S) = pair.classic in
+      let (module FP : Ftc_sim.Fast_protocol.S) = pair.fast in
+      Alcotest.(check string) (pair.tag ^ ": name") P.name FP.name;
+      List.iter
+        (fun n ->
+          List.iter
+            (fun alpha ->
+              let ctx = Printf.sprintf "%s n=%d alpha=%g" pair.tag n alpha in
+              Alcotest.(check int) (ctx ^ ": max_rounds") (P.max_rounds ~n ~alpha)
+                (FP.max_rounds ~n ~alpha);
+              Alcotest.(check (list (pair string int)))
+                (ctx ^ ": phases") (P.phases ~n ~alpha) (FP.phases ~n ~alpha))
+            [ 0.5; 0.7; 1.0 ])
+        [ 2; 4; 16; 48; 1024 ])
+    pairs
+
+(* ------------------------------------------------------------------ *)
 (* Deterministic sweeps.                                              *)
 
 (* Every pair under every named adversary, reliable links: the crash
@@ -484,24 +510,117 @@ let test_replay_roundtrip () =
                 (Chaos.Replay.to_string ~version:v ~expect:expect2 case2)))
     replay_fixtures
 
-(* The transportless fixtures replay on both engines to the same run —
-   decisions, metrics, trace, and oracle verdicts. *)
+(* ------------------------------------------------------------------ *)
+(* Case-level differential: [Case.run] against a classic reference.   *)
+
+(* The classic reference for a case: the closure engine running the
+   catalog entry's classic module on the config [Case.run] builds,
+   judged by the same oracle pass. [Case.run] runs transportless cases
+   on ported protocols on the fast engine, and must match this. *)
+let classic_reference (case : Chaos.Case.t) =
+  let entry = Option.get (Chaos.Catalog.find case.protocol) in
+  let (module P : Ftc_sim.Protocol.S) =
+    if case.transport then fst (Ftc_transport.Transport.wrap (entry.make ()))
+    else entry.make ()
+  in
+  let module E = Engine.Make (P) in
+  let adversary =
+    match case.adversary with
+    | Some name -> (List.assoc name (Strategy.all ())) ()
+    | None ->
+        if case.plan = [] then Ftc_sim.Adversary.none else Strategy.scheduled case.plan ()
+  in
+  let result =
+    E.run
+      {
+        Engine.n = case.n;
+        alpha = case.alpha;
+        seed = case.seed;
+        inputs = Some case.inputs;
+        adversary;
+        link = Omission.to_link case.loss;
+        queue = case.queue;
+        congest_limit =
+          Some ((if case.transport then 2 else 1) * Congest.default_limit ~n:case.n);
+        record_trace = true;
+        max_rounds_override = None;
+        watchdog = None;
+        round_clock = None;
+      }
+  in
+  let queue_can_drop = match case.queue with Some q -> Queue_model.can_drop q | None -> false in
+  let lossy_raw = (case.loss <> Omission.No_loss || queue_can_drop) && not case.transport in
+  (result, Chaos.Oracle.check ~lossy_raw entry ~inputs:case.inputs result)
+
+let show_findings = List.map (fun f -> Format.asprintf "%a" Chaos.Oracle.pp f)
+
+(* [Case.run case] equals the classic reference: the full result
+   (decisions, metrics, trace, ...) and the oracle findings. *)
+let check_case_matches_classic ~ctx case =
+  match Chaos.Case.run case with
+  | Error e -> Alcotest.failf "%s: %s" ctx (Chaos.Case.error_to_string e)
+  | Ok (r, findings) ->
+      let ref_r, ref_findings = classic_reference case in
+      check_same ~ctx ref_r r;
+      Alcotest.(check (list string))
+        (ctx ^ ": findings agree")
+        (show_findings ref_findings) (show_findings findings)
+
+(* The transportless fixtures replay through [Case.run] to the classic
+   reference run — decisions, metrics, trace, and oracle verdicts. *)
 let test_replay_both_engines () =
   List.iter
     (fun path ->
       match Chaos.Replay.of_string (read_fixture path) with
       | Error e -> Alcotest.failf "%s: parse failed: %s" path e
-      | Ok (case, _) -> (
-          match (Chaos.Case.run case, Chaos.Case.run_fast case) with
-          | Error e, _ -> Alcotest.failf "%s: classic replay: %s" path (Chaos.Case.error_to_string e)
-          | _, Error e -> Alcotest.failf "%s: fast replay: %s" path (Chaos.Case.error_to_string e)
-          | Ok (ra, fa), Ok (rb, fb) ->
-              check_same ~ctx:path ra rb;
-              Alcotest.(check (list string))
-                (path ^ ": findings agree")
-                (List.map (fun f -> Format.asprintf "%a" Chaos.Oracle.pp f) fa)
-                (List.map (fun f -> Format.asprintf "%a" Chaos.Oracle.pp f) fb)))
+      | Ok (case, _) -> check_case_matches_classic ~ctx:path case)
     [ "fixtures/replay-v1.ftc"; "fixtures/replay-v2.ftc" ]
+
+(* The first 2,000 canonical states of the exhaustive verifier's default
+   n = 4 space, for both ported protocols it is run on. *)
+let test_verify_states_match_classic () =
+  List.iter
+    (fun protocol ->
+      let cfg = Ftc_verify.Verify.default_config ~protocol in
+      match
+        Ftc_verify.Space.make ~keep_prefix_max:cfg.keep_prefix_max ~protocol ~n:cfg.n
+          ~alpha:cfg.alpha ()
+      with
+      | Error e -> Alcotest.failf "%s: %s" protocol e
+      | Ok space ->
+          Seq.iteri
+            (fun i state ->
+              let case =
+                Ftc_verify.Space.to_case space ~base_seed:cfg.base_seed ~seed_index:0 state
+              in
+              check_case_matches_classic ~ctx:(Printf.sprintf "%s state %d" protocol i) case)
+            (Seq.take 2000 (Ftc_verify.Space.states space)))
+    [ "ft-agreement"; "ft-leader-election" ]
+
+(* Serve-shaped instances: fault-free plan, the random adversary by name,
+   inputs from the case seed, at the service benchmark's light
+   (agreement, n = 16) and heavy (election, n = 48) shapes. *)
+let test_serve_cases_match_classic () =
+  for i = 0 to 49 do
+    let protocol, n = if i mod 2 = 0 then ("ft-agreement", 16) else ("ft-leader-election", 48) in
+    let seed = 1000 + i in
+    let entry = Option.get (Chaos.Catalog.find protocol) in
+    let case =
+      {
+        Chaos.Case.protocol;
+        n;
+        alpha = 0.5;
+        seed;
+        inputs = Chaos.Catalog.gen_inputs entry ~n ~seed;
+        plan = [];
+        adversary = Some "random";
+        loss = Omission.No_loss;
+        queue = None;
+        transport = false;
+      }
+    in
+    check_case_matches_classic ~ctx:(Printf.sprintf "%s n=%d seed=%d" protocol n seed) case
+  done
 
 let base_case : Chaos.Case.t =
   {
@@ -542,12 +661,15 @@ let test_replay_version_of () =
   Alcotest.(check bool) "to_string rejects an unknown version" true
     (raises (fun () -> Chaos.Replay.to_string ~version:5 base_case))
 
-(* Fast replay of a transport case is an error, not a wrong answer. *)
-let test_run_fast_rejects_transport () =
-  match Chaos.Case.run_fast { base_case with transport = true } with
-  | Error (Chaos.Case.Invalid_case _) -> ()
-  | Error e -> Alcotest.failf "unexpected error: %s" (Chaos.Case.error_to_string e)
-  | Ok _ -> Alcotest.fail "transport case ran on the fast engine"
+(* A transport case on a ported protocol still runs: on the closure
+   engine, since the wrapper is a classic protocol transformer. *)
+let test_transport_case_runs_classic () =
+  let case = { base_case with transport = true } in
+  (match Chaos.Case.run case with
+  | Error e -> Alcotest.failf "transport case: %s" (Chaos.Case.error_to_string e)
+  | Ok (_, findings) ->
+      Alcotest.(check (list string)) "transport case: oracles clean" [] (show_findings findings));
+  check_case_matches_classic ~ctx:"transport case" case
 
 (* ------------------------------------------------------------------ *)
 (* Runner integration: the fast_protocol spec field.                  *)
@@ -615,6 +737,11 @@ let () =
           Alcotest.test_case "all pairs x loss x queue, traced" `Quick test_sweep_loss_queue;
           QCheck_alcotest.to_alcotest qcheck_differential;
         ] );
+      ( "metadata",
+        [
+          Alcotest.test_case "twins share name, calendar, phases" `Quick
+            test_pair_metadata;
+        ] );
       ( "trace",
         [
           Alcotest.test_case "fast trace reconciles with metrics" `Quick
@@ -632,8 +759,15 @@ let () =
           Alcotest.test_case "v1/v2 replay identically on both engines" `Quick
             test_replay_both_engines;
           Alcotest.test_case "version_of and to_string ~version" `Quick test_replay_version_of;
-          Alcotest.test_case "run_fast rejects transport cases" `Quick
-            test_run_fast_rejects_transport;
+          Alcotest.test_case "transport case runs classic engine" `Quick
+            test_transport_case_runs_classic;
+        ] );
+      ( "case",
+        [
+          Alcotest.test_case "2000 verify states match classic" `Quick
+            test_verify_states_match_classic;
+          Alcotest.test_case "serve-shaped cases match classic" `Quick
+            test_serve_cases_match_classic;
         ] );
       ( "runner",
         [
