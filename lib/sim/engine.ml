@@ -95,7 +95,7 @@ module Make (P : Protocol.S) = struct
           })
     in
     let states = Array.init n (fun i -> P.init ctxs.(i)) in
-    let ports = Array.init n (fun _ -> Ports.create ()) in
+    let ports = Ports.Net.make n in
     (* Faulty set. *)
     let f_budget = max_faulty ~n ~alpha:config.alpha in
     let faulty = Array.make n false in
@@ -138,20 +138,21 @@ module Make (P : Protocol.S) = struct
              already known) drops the send — the only way it can happen is
              a broadcast over-approximating its fresh count — but the drop
              is counted and traced, never silent. *)
-          match Ports.fresh_peer wiring_rng ports.(src) ~n ~self:src with
+          match Ports.Net.fresh_peer wiring_rng ports ~self:src with
           | None ->
               Metrics.record_unroutable metrics ~round;
               trace_add (Trace.Unroutable { round; node = src });
               None
           | Some peer ->
-              let _port = Ports.port_to ports.(src) peer in
+              let _port = Ports.Net.port_to ports src peer in
               Some peer)
-      | Protocol.Port p -> (
-          match Ports.peer_of_port ports.(src) p with
-          | Some peer -> Some peer
-          | None ->
-              violation (Violation.Unknown_port { node = src; port = p });
-              None)
+      | Protocol.Port p ->
+          let peer = Ports.Net.peer_of_port ports src p in
+          if peer >= 0 then Some peer
+          else begin
+            violation (Violation.Unknown_port { node = src; port = p });
+            None
+          end
       | Protocol.Node d ->
           if P.knowledge = `KT0 then begin
             violation (Violation.Kt0_node_addressing { node = src; protocol = P.name });
@@ -372,7 +373,7 @@ module Make (P : Protocol.S) = struct
             Metrics.record_send metrics ~round:r ~bits:s.bits ~delivered;
             trace_add (Trace.Send { round = r; src = s.src; dst = s.dst; bits = s.bits; delivered });
             if delivered then begin
-              s.from_port <- Ports.port_to ports.(s.dst) s.src;
+              s.from_port <- Ports.Net.port_to ports s.dst s.src;
               (* ECN marks count only on messages that actually arrive,
                  so the metric equals the marks receivers observe. *)
               if s.ecn then begin

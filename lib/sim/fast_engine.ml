@@ -8,15 +8,20 @@ module Rng = Ftc_rng.Rng
    order over exactly the same split rng streams; what changes is the
    representation: flat preallocated send buffers, Bigarray inboxes
    built by a counting sort, Bytes crash masks, and an event-driven
-   active set so only nodes with work actually step.
+   active set so only nodes with work actually step. The counting sort
+   takes its per-destination counts in the forward pass that already
+   resolves each delivery's port, so it adds no random-access pass of
+   its own.
 
    Stream identity argument, stage by stage:
    - rng tree: the same five [Rng.split]s off the same root, in the
      same order.
-   - wiring: sends resolve through {!Ports} (shared with the classic
-     engine) at emit time; since nodes step in ascending order and each
-     node's emits happen in classic action order, the sequence of
-     [fresh_peer] draws on [wiring_rng] is identical.
+   - wiring: sends resolve through a {!Ports.Net} network table, the
+     same structure the classic engine uses, at emit time; since nodes
+     step in ascending order and each node's emits happen in classic
+     action order, the sequence of [fresh_peer] draws on [wiring_rng]
+     is identical. Receiver-side ports open in the forward pass of
+     stage 5, in global send order, as in the classic engine.
    - adversary: the view holds the same data — the alive faulty ids in
      ascending order (one buffer, compacted in place after crashes),
      each one's sends in send order, and the protocol-maintained
@@ -79,7 +84,7 @@ module Make (P : Fast_protocol.S) = struct
           a
       | None -> Array.make n 0
     in
-    let ports = Array.init n (fun _ -> Ports.create ()) in
+    let ports = Ports.Net.make n in
     (* Faulty set. *)
     let f_budget = Engine.max_faulty ~n ~alpha:config.alpha in
     let faulty = Array.make n false in
@@ -245,16 +250,16 @@ module Make (P : Fast_protocol.S) = struct
     in
     let emit_fresh w0 w1 w2 =
       let src = !cur_src in
-      match Ports.fresh_peer wiring_rng ports.(src) ~n ~self:src with
+      match Ports.Net.fresh_peer wiring_rng ports ~self:src with
       | None ->
           Metrics.record_unroutable metrics ~round:!cur_round;
           trace_add (Trace.Unroutable { round = !cur_round; node = src })
       | Some peer ->
-          let _port = Ports.port_to ports.(src) peer in
+          let _port = Ports.Net.port_to ports src peer in
           resolved ~dst:peer w0 w1 w2
     in
     let emit_port p w0 w1 w2 =
-      let peer = Ports.peer_of_port_int ports.(!cur_src) p in
+      let peer = Ports.Net.peer_of_port ports !cur_src p in
       if peer >= 0 then resolved ~dst:peer w0 w1 w2
       else violation (Violation.Unknown_port { node = !cur_src; port = p })
     in
@@ -280,7 +285,7 @@ module Make (P : Fast_protocol.S) = struct
         emit_fresh;
         emit_port;
         emit_node;
-        port_count = (fun i -> Ports.count ports.(i));
+        port_count = Ports.Net.count ports;
         wake = add_pending;
         obs = obs_cache;
         note_decided = (fun _ -> decr live_undecided);
@@ -467,8 +472,19 @@ module Make (P : Fast_protocol.S) = struct
           end
         done;
       (* 5. Count, trace, and deliver: the forward pass reproduces the
-         classic metric/trace/port-opening order, then a counting sort
-         lays each destination's arrivals out contiguously. *)
+         classic metric/trace/port-opening order and counts each stored
+         arrival per destination, then a counting sort lays each
+         destination's arrivals out contiguously. Last round's counts
+         are cleared first (only the touched entries). A delivery to a
+         node crashed this round still opens its port, as in the
+         classic engine, but is not stored: the classic engine conses
+         it and clears the inbox unread at the next step. [fport] stays
+         -1 for every send that is not stored. *)
+      for j = 0 to !touched_len - 1 do
+        ib_count.(touched.(j)) <- 0
+      done;
+      touched_len := 0;
+      let delivered_count = ref 0 in
       let fw_msgs = ref 0 and fw_bits = ref 0 and fw_dropped = ref 0 in
       for k = 0 to s_count - 1 do
         let fl = Char.code (Bytes.unsafe_get flags k) in
@@ -500,7 +516,17 @@ module Make (P : Fast_protocol.S) = struct
             trace_add
               (Trace.Send { round = r; src = src.(k); dst = dst.(k); bits = bits.(k); delivered });
           if delivered then begin
-            fport.(k) <- Ports.port_to ports.(dst.(k)) src.(k);
+            let d = dst.(k) in
+            let p = Ports.Net.port_to ports d src.(k) in
+            if not (is_crashed d) then begin
+              fport.(k) <- p;
+              if ib_count.(d) = 0 then begin
+                touched.(!touched_len) <- d;
+                incr touched_len
+              end;
+              ib_count.(d) <- ib_count.(d) + 1;
+              incr delivered_count
+            end;
             if fl land f_ecn <> 0 then begin
               Metrics.record_ecn_mark metrics ~round:r;
               if tracing then
@@ -511,36 +537,9 @@ module Make (P : Fast_protocol.S) = struct
       done;
       Metrics.record_send_batch metrics ~round:r ~msgs:!fw_msgs ~bits:!fw_bits
         ~dropped:!fw_dropped;
-      (* Counting sort into next round's inbox. Clear last round's
-         counts first (only the touched entries), then count, lay out
-         segments, and copy forward — forward order within a segment is
-         arrival order, as in the classic engine. Deliveries to a node
-         crashed this round are skipped: the classic engine conses them
-         and clears the inbox unread at the next step. *)
-      for j = 0 to !touched_len - 1 do
-        ib_count.(touched.(j)) <- 0
-      done;
-      touched_len := 0;
-      let delivered_to k =
-        (* delivered and worth storing *)
-        fport.(k) >= 0
-        && Char.code (Bytes.unsafe_get flags k)
-           land (f_dropped lor f_queue_dropped lor f_link_dropped)
-           = 0
-        && not (is_crashed dst.(k))
-      in
-      let delivered_count = ref 0 in
-      for k = 0 to s_count - 1 do
-        if delivered_to k then begin
-          let d = dst.(k) in
-          if ib_count.(d) = 0 then begin
-            touched.(!touched_len) <- d;
-            incr touched_len
-          end;
-          ib_count.(d) <- ib_count.(d) + 1;
-          incr delivered_count
-        end
-      done;
+      (* Counting sort into next round's inbox: lay out segments, then
+         copy forward — forward order within a segment is arrival order,
+         as in the classic engine. *)
       if !delivered_count > !inbox_cap then begin
         while !delivered_count > !inbox_cap do
           inbox_cap := !inbox_cap * 2
@@ -560,11 +559,12 @@ module Make (P : Fast_protocol.S) = struct
       let iw = !rt_inbox_words and ip = !rt_inbox_port in
       let sw = !s_words in
       for k = 0 to s_count - 1 do
-        if delivered_to k then begin
+        let port = fport.(k) in
+        if port >= 0 then begin
           let d = dst.(k) in
           let p = ib_ptr.(d) in
           ib_ptr.(d) <- p + 1;
-          ip.(p) <- fport.(k);
+          ip.(p) <- port;
           let b = p * words and sb = k * words in
           iw.{b} <- sw.(sb);
           if words > 1 then iw.{b + 1} <- sw.(sb + 1);

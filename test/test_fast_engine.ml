@@ -416,18 +416,31 @@ let test_golden_fixture () =
    order and on how the engine keeps its alive-faulty set between
    rounds; the n = 8 fixture has too few faulty nodes to show either. *)
 
-let random_golden_line (pair : pair) =
-  let n = 16384 and alpha = 0.5 and seed = 11 in
-  let (module FP : Ftc_sim.Fast_protocol.S) = pair.fast in
-  let module FE = Ftc_sim.Fast_engine.Make (FP) in
-  let r =
-    FE.run
-      {
-        (Engine.default_config ~n ~alpha ~seed) with
-        Engine.inputs = Some (pair.mk_inputs ~n ~salt:seed);
-        adversary = Strategy.random_crashes ();
-      }
+let random_crash_run ~engine ~n ~record_trace (pair : pair) =
+  let alpha = 0.5 and seed = 11 in
+  let config =
+    {
+      (Engine.default_config ~n ~alpha ~seed) with
+      Engine.inputs = Some (pair.mk_inputs ~n ~salt:seed);
+      adversary = Strategy.random_crashes ();
+      record_trace;
+    }
   in
+  match engine with
+  | `Classic ->
+      let (module P : Ftc_sim.Protocol.S) = pair.classic in
+      let module E = Engine.Make (P) in
+      E.run config
+  | `Fast ->
+      let (module FP : Ftc_sim.Fast_protocol.S) = pair.fast in
+      let module FE = Ftc_sim.Fast_engine.Make (FP) in
+      FE.run config
+
+(* With [~record_trace:true] the line ends in a hash of every trace
+   event, so it also pins who sent to whom: the other fields can stay
+   the same under a wiring change (a permuted port table, say). *)
+let random_golden_line ?(engine = `Fast) ?(n = 16384) ?(record_trace = false) (pair : pair) =
+  let r = random_crash_run ~engine ~n ~record_trace pair in
   let m = r.Engine.metrics in
   let crashed = Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0 r.Engine.crashed in
   let round_sum =
@@ -436,9 +449,17 @@ let random_golden_line (pair : pair) =
   let decisions =
     String.concat " " (Array.to_list (Array.map Decision.to_string r.Engine.decisions))
   in
-  Printf.sprintf "%s crashed=%d crash_round_sum=%d msgs=%d bits=%d rounds=%d decisions=%s"
+  let wiring =
+    match r.Engine.trace with
+    | None -> ""
+    | Some t ->
+        Printf.sprintf " wiring=%012x"
+          (Trace.fold (fun h e -> ((h * 1000003) + Hashtbl.hash e) land 0xffffffffffff) 0 t)
+  in
+  Printf.sprintf "%s crashed=%d crash_round_sum=%d msgs=%d bits=%d rounds=%d decisions=%s%s"
     pair.tag crashed round_sum m.Metrics.msgs_sent m.Metrics.bits_sent r.Engine.rounds_used
     (Digest.to_hex (Digest.string decisions))
+    wiring
 
 let random_golden =
   [
@@ -456,6 +477,36 @@ let test_random_golden () =
       let pair = List.find (fun p -> p.tag = tag) pairs in
       Alcotest.(check string) (tag ^ " n=16384 random") want (random_golden_line pair))
     random_golden
+
+(* The explicit variants at n = 1024, on both engines, pinned from an
+   implementation with one independent port table per node. Both
+   engines resolve ports through one shared table, so the classic-vs-
+   fast differential cannot see a port bug they share; these values,
+   with their trace hash, can. The leader's broadcast opens fresh ports
+   past n/2, through the spill tier and its shuffled complement. *)
+let explicit_golden =
+  [
+    ( "ft-leader-election-explicit",
+      "ft-leader-election-explicit crashed=257 crash_round_sum=20792 msgs=639711 \
+       bits=29598174 rounds=184 decisions=cf2e1cc50a5d01d69589a04fc5ccb815 wiring=9cf7acb7b316"
+    );
+    ( "ft-agreement-explicit",
+      "ft-agreement-explicit crashed=381 crash_round_sum=52376 msgs=93993 bits=930315 \
+       rounds=346 decisions=662d382fbd880892ed8d884bf01b6a9b wiring=2c7746739640" );
+  ]
+
+let test_explicit_golden () =
+  List.iter
+    (fun (tag, want) ->
+      let pair = List.find (fun p -> p.tag = tag) pairs in
+      List.iter
+        (fun (name, engine) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s n=1024 random, %s engine" tag name)
+            want
+            (random_golden_line ~engine ~n:1024 ~record_trace:true pair))
+        [ ("classic", `Classic); ("fast", `Fast) ])
+    explicit_golden
 
 (* ------------------------------------------------------------------ *)
 (* Replay files: v1..v4 round-trip and dual-engine replay.            *)
@@ -751,6 +802,8 @@ let () =
         [
           Alcotest.test_case "n=8 fixture" `Quick test_golden_fixture;
           Alcotest.test_case "n=16384 random adversary" `Quick test_random_golden;
+          Alcotest.test_case "n=1024 explicit variants, both engines" `Quick
+            test_explicit_golden;
         ] );
       ( "replay",
         [

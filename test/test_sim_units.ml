@@ -1,5 +1,6 @@
 (* Unit tests for the small simulator modules: Decision, Observation,
-   Metrics, Trace, and the Fanout broadcast helper. *)
+   Metrics, Trace, the Fanout broadcast helper, and the network port
+   table against per-node reference tables. *)
 
 module Decision = Ftc_sim.Decision
 module Observation = Ftc_sim.Observation
@@ -7,6 +8,8 @@ module Metrics = Ftc_sim.Metrics
 module Trace = Ftc_sim.Trace
 module Fanout = Ftc_sim.Fanout
 module Protocol = Ftc_sim.Protocol
+module Ports = Ftc_sim.Ports
+module Rng = Ftc_rng.Rng
 
 let test_decision_equal () =
   let open Decision in
@@ -142,6 +145,125 @@ let test_fanout_none_known () =
       Alcotest.(check bool) "fresh dest" true (a.Protocol.dest = Protocol.Fresh_port))
     acts
 
+(* Reference model for the network port table: every operation the
+   engines perform on [Ports.Net] is mirrored on a per-node [Ports.t]
+   driven by a twin rng, and must return the same answer and leave both
+   rngs at the same point of their streams. A hot set of nodes crosses
+   the 7 -> 8 inline/spill boundary; one broadcaster per run opens fresh
+   ports until exhaustion, across the n/2 complement switch, sometimes
+   drawing a fresh peer without opening it so the complement can run
+   dry and be rebuilt. *)
+let ports_model_run ~dry ~n ~seed =
+  let ops = Rng.create ((seed * 7919) + n) in
+  let rng_ref = Rng.create seed and rng_net = Rng.create seed in
+  let refs = Array.init n (fun _ -> Ports.create ()) in
+  let net = Ports.Net.make n in
+  let step = ref 0 in
+  let ctx what = Printf.sprintf "n=%d seed=%d step %d: %s" n seed !step what in
+  let same_stream () =
+    Alcotest.(check int64)
+      (ctx "wiring rng streams")
+      (Rng.bits64 (Rng.copy rng_ref))
+      (Rng.bits64 (Rng.copy rng_net))
+  in
+  let fresh ~opening i =
+    let want = Ports.fresh_peer rng_ref refs.(i) ~n ~self:i in
+    let got = Ports.Net.fresh_peer rng_net net ~self:i in
+    Alcotest.(check (option int)) (ctx (Printf.sprintf "fresh_peer %d" i)) want got;
+    (match want with
+    | Some peer when opening ->
+        Alcotest.(check int)
+          (ctx (Printf.sprintf "sender port_to %d -> %d" i peer))
+          (Ports.port_to refs.(i) peer) (Ports.Net.port_to net i peer)
+    | _ -> ());
+    same_stream ();
+    want
+  in
+  let receive i =
+    let j = (i + 1 + Rng.int ops (n - 1)) mod n in
+    Alcotest.(check int)
+      (ctx (Printf.sprintf "receiver port_to %d <- %d" i j))
+      (Ports.port_to refs.(i) j) (Ports.Net.port_to net i j)
+  in
+  let lookup i =
+    let p = Rng.int ops (Ports.count refs.(i) + 3) - 1 in
+    Alcotest.(check int)
+      (ctx (Printf.sprintf "peer_of_port %d %d" i p))
+      (Ports.peer_of_port_int refs.(i) p) (Ports.Net.peer_of_port net i p)
+  in
+  let count i =
+    Alcotest.(check int) (ctx (Printf.sprintf "count %d" i)) (Ports.count refs.(i))
+      (Ports.Net.count net i)
+  in
+  let hot = [| 0; 1 mod n; n - 1; n / 2 |] in
+  for _ = 1 to 40 * min n 100 do
+    incr step;
+    let i = if Rng.int ops 4 > 0 then hot.(Rng.int ops (Array.length hot)) else Rng.int ops n in
+    match Rng.int ops 10 with
+    | 0 | 1 | 2 | 3 | 4 -> ignore (fresh ~opening:(Rng.int ops 10 > 0) i)
+    | 5 | 6 -> receive i
+    | 7 | 8 -> lookup i
+    | _ -> count i
+  done;
+  let b = seed mod n in
+  let rec broadcast () =
+    incr step;
+    if Rng.int ops 6 = 0 then receive b;
+    match fresh ~opening:(Rng.int ops 8 > 0) b with
+    | Some _ -> broadcast ()
+    | None when Ports.Net.count net b < n - 1 ->
+        (* The complement ran dry on peers drawn but never opened; the
+           next draw rebuilds it. *)
+        incr dry;
+        broadcast ()
+    | None -> ()
+  in
+  broadcast ();
+  Alcotest.(check (option int)) (ctx "stays exhausted") None (fresh ~opening:true b);
+  for i = 0 to n - 1 do
+    count i;
+    for p = 0 to Ports.count refs.(i) - 1 do
+      Alcotest.(check int) (ctx "final tables") (Ports.peer_of_port_int refs.(i) p)
+        (Ports.Net.peer_of_port net i p)
+    done
+  done;
+  net
+
+let test_ports_model () =
+  let dry = ref 0 in
+  List.iter
+    (fun n ->
+      let spilled = ref 0 in
+      for seed = 1 to 8 do
+        let net = ports_model_run ~dry ~n ~seed in
+        if net.Ports.Net.spill_len > 0 then incr spilled
+      done;
+      (* From n = 3 up a broadcaster spills when it draws a fresh peer
+         at n/2 ports, unless received messages fill its table first. *)
+      if n >= 3 then
+        Alcotest.(check bool) (Printf.sprintf "n=%d: spills exercised" n) true (!spilled > 0))
+    [ 2; 3; 4; 5; 8; 16; 1024 ];
+  Alcotest.(check bool) "complement rebuilds exercised" true (!dry > 0)
+
+(* The boundary itself, without randomness: seven ports stay inline, the
+   eighth spills, and every port keeps its peer. *)
+let test_ports_spill_boundary () =
+  let net = Ports.Net.make 64 in
+  for k = 1 to 7 do
+    Alcotest.(check int) "inline port" (k - 1) (Ports.Net.port_to net 5 (10 * k))
+  done;
+  Alcotest.(check int) "still inline" 0 net.Ports.Net.spill_len;
+  Alcotest.(check int) "known port" 3 (Ports.Net.port_to net 5 40);
+  Alcotest.(check int) "8th port" 7 (Ports.Net.port_to net 5 3);
+  Alcotest.(check int) "spilled" 1 net.Ports.Net.spill_len;
+  Alcotest.(check int) "count" 8 (Ports.Net.count net 5);
+  for k = 1 to 7 do
+    Alcotest.(check int) "replayed in port order" (10 * k) (Ports.Net.peer_of_port net 5 (k - 1));
+    Alcotest.(check int) "same port after spill" (k - 1) (Ports.Net.port_to net 5 (10 * k))
+  done;
+  Alcotest.(check int) "unknown port" (-1) (Ports.Net.peer_of_port net 5 8);
+  Alcotest.(check int) "neighbour untouched" 0 (Ports.Net.count net 6)
+
 let () =
   Alcotest.run "sim-units"
     [
@@ -173,5 +295,10 @@ let () =
           Alcotest.test_case "counts" `Quick test_fanout_counts;
           Alcotest.test_case "all known" `Quick test_fanout_all_known;
           Alcotest.test_case "none known" `Quick test_fanout_none_known;
+        ] );
+      ( "ports",
+        [
+          Alcotest.test_case "network table = per-node reference" `Quick test_ports_model;
+          Alcotest.test_case "7 -> 8 spill boundary" `Quick test_ports_spill_boundary;
         ] );
     ]
